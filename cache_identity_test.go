@@ -2,8 +2,13 @@ package powerchop
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"reflect"
 	"testing"
 
+	"powerchop/internal/obs"
+	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/rescache"
 )
 
@@ -76,19 +81,113 @@ func TestRunCacheHitMatchesLiveRun(t *testing.T) {
 	}
 }
 
-// TestRunCacheBypassedForObservers pins the bypass rule: any consumer of
-// the live event stream or per-run instrumentation disables the cache
-// (counted, not silent) because a cached Result cannot replay events.
+// TestRunCacheBypassedForObservers pins the bypass rule: each consumer
+// that records the whole run (the JSONL trace, metrics, the audit trail,
+// telemetry series) disables the cache — counted, not silent — because
+// a cached Result cannot replay what it records.
 func TestRunCacheBypassedForObservers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates a benchmark")
+		t.Skip("simulates a benchmark per observer")
 	}
-	cache := rescache.New(t.TempDir(), nil)
-	if _, err := Run("bzip2", Options{Passes: 0.3, Cache: cache, Metrics: true}); err != nil {
+	for _, tc := range []struct {
+		name    string
+		observe func(*Options)
+	}{
+		{"TraceWriter", func(o *Options) { o.TraceWriter = io.Discard }},
+		{"Metrics", func(o *Options) { o.Metrics = true }},
+		{"Audit", func(o *Options) { o.Audit = true }},
+		{"Telemetry", func(o *Options) { o.Telemetry = tsdb.NewStore(tsdb.DefaultConfig()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := rescache.New(t.TempDir(), nil)
+			opts := Options{Passes: 0.3, Cache: cache}
+			tc.observe(&opts)
+			if _, err := Run("bzip2", opts); err != nil {
+				t.Fatal(err)
+			}
+			st := cache.Stats()
+			if st.Bypass != 1 || st.Stores != 0 || st.Hits != 0 || st.Misses != 0 {
+				t.Fatalf("stats = %+v, want exactly one bypass and no lookups or stores", st)
+			}
+		})
+	}
+}
+
+// simEvents returns the recorded simulation events, dropping the
+// service-layer span events.
+func simEvents(r *eventRecorder) []obs.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []obs.Event
+	for _, e := range r.events {
+		if !obs.IsSpanKind(e.Kind) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestRunCacheServesTracedRuns pins the other half of the rule: a live
+// Tracer keeps the cache. A miss simulates live — its tracer sees the
+// same simulation events as an uncached traced run — and is filed once;
+// the following hit emits no simulation events and returns a Report
+// byte-identical to an untraced live run's.
+func TestRunCacheServesTracedRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a benchmark three times")
+	}
+	const bench = "bzip2"
+	untraced, err := Run(bench, Options{Passes: 0.3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := cache.Stats()
-	if st.Bypass != 1 || st.Stores != 0 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want exactly one bypass and no stores", st)
+	want, err := json.Marshal(untraced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live eventRecorder
+	if _, err := Run(bench, Options{Passes: 0.3, Tracer: &live}); err != nil {
+		t.Fatal(err)
+	}
+	liveEvents := simEvents(&live)
+	if len(liveEvents) == 0 {
+		t.Fatal("uncached traced run emitted no events")
+	}
+
+	cache := rescache.New(t.TempDir(), nil)
+	var miss eventRecorder
+	if _, err := Run(bench, Options{Passes: 0.3, Tracer: &miss, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Stores != 1 || st.Bypass != 0 {
+		t.Fatalf("traced miss: stats = %+v, want one miss, one store, no bypass", st)
+	}
+	if !reflect.DeepEqual(simEvents(&miss), liveEvents) {
+		t.Errorf("traced miss emitted %d simulation events, uncached traced run %d (or they differ)",
+			len(simEvents(&miss)), len(liveEvents))
+	}
+
+	var hit eventRecorder
+	var progress []RunProgress
+	rep, err := Run(bench, Options{Passes: 0.3, Tracer: &hit, Cache: cache,
+		Progress: func(p RunProgress) { progress = append(progress, p) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Stores != 1 || st.Bypass != 0 {
+		t.Fatalf("traced hit: stats = %+v, want one hit and still one store", st)
+	}
+	if n := len(simEvents(&hit)); n != 0 {
+		t.Errorf("traced hit emitted %d simulation events, want 0", n)
+	}
+	if len(progress) != 1 || progress[0].State != StateDone {
+		t.Errorf("traced hit progress = %+v, want one done report", progress)
+	}
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("traced hit Report JSON differs from the untraced live run's")
 	}
 }

@@ -32,8 +32,10 @@
 // The -cache flag (default $POWERCHOP_CACHE) names a persistent result
 // cache: completed simulations are stored content-addressed on disk and
 // reused across invocations, so a warm cache regenerates figures
-// byte-identically at a fraction of the cost. Runs that record an event
-// trace bypass the cache — cached results cannot replay the stream.
+// byte-identically at a fraction of the cost. Runs that record the whole
+// run (-trace FILE, -metrics, explain's audit, telemetry) bypass the
+// cache — cached results cannot replay what they record. A live monitor
+// (-http, serve) keeps it: a hit simply emits no events.
 package main
 
 import (

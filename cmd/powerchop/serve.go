@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -123,7 +124,7 @@ func withMonitor(addr string, stderr io.Writer, hook func(*liveMonitor), f func(
 }
 
 // apiRecorder journals completed API work into the monitor's run
-// history: duration, cache hit/miss deltas over the request, and the
+// history: duration, the request's own cache hits and misses, and the
 // request's span and request IDs, so /api/runs and `powerchop runs`
 // correlate with access logs and traces.
 type apiRecorder struct {
@@ -131,18 +132,18 @@ type apiRecorder struct {
 	cache *rescache.Cache
 }
 
-// begin snapshots the clock and cache counters; the returned func
-// journals the record once the work's outcome is known.
-func (a *apiRecorder) begin(r *http.Request, kind, name, params string) func(error) {
+// begin starts the clock and returns the context to run the work under
+// — it carries a cache tally, so concurrent requests are each charged
+// only their own lookups — plus a func that journals the record once
+// the work's outcome is known.
+func (a *apiRecorder) begin(r *http.Request, kind, name, params string) (context.Context, func(error)) {
 	if a == nil || a.store == nil {
-		return func(error) {}
+		return r.Context(), func(error) {}
 	}
 	start := time.Now()
-	var before rescache.Stats
-	if a.cache != nil {
-		before = a.cache.Stats()
-	}
-	return func(runErr error) {
+	tally := new(rescache.Tally)
+	ctx := rescache.WithTally(r.Context(), tally)
+	return ctx, func(runErr error) {
 		rec := runlog.Record{
 			Kind:       kind,
 			Name:       name,
@@ -154,9 +155,8 @@ func (a *apiRecorder) begin(r *http.Request, kind, name, params string) func(err
 			rec.RequestID = sp.RequestID()
 		}
 		if a.cache != nil {
-			after := a.cache.Stats()
-			rec.CacheHits = after.Hits - before.Hits
-			rec.CacheMisses = after.Misses - before.Misses
+			rec.CacheHits = tally.Hits()
+			rec.CacheMisses = tally.Misses()
 		}
 		if runErr != nil {
 			rec.Error = runErr.Error()
@@ -175,11 +175,14 @@ func (a *apiRecorder) begin(r *http.Request, kind, name, params string) func(err
 //	GET /api/run?bench=NAME[&manager=M]  simulate one benchmark (JSON report)
 //	GET /api/explain?bench=NAME[&manager=M]  simulate with audit on, return the provenance report (JSON)
 //
-// Figure and run requests execute through the shared runner, so their
-// simulations show up live on /progress, /metrics and /events; every
-// route is mounted through the monitor's middleware (request IDs, RED
-// metrics, access logs, panic recovery), carries the request context so
-// spans nest under the HTTP request, and journals a run-history record.
+// Figure and run requests consult the result cache (when the server has
+// one) and simulate only on a miss; the simulations they do run show up
+// live on /progress, /metrics and /events, while a hit shows as a done
+// report and a rescache_hit. Explain requests always simulate live —
+// an audit trail cannot come from a cached result. Every route is
+// mounted through the monitor's middleware (request IDs, RED metrics,
+// access logs, panic recovery), carries the request context so spans
+// nest under the HTTP request, and journals a run-history record.
 func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) {
 	mount := l.mon.Mount
 	writeJSON := func(w http.ResponseWriter, v any) {
@@ -225,9 +228,9 @@ func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) 
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		done := rec.begin(r, "figure", id, "")
+		ctx, done := rec.begin(r, "figure", id, "")
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := runner.RenderFigureContext(r.Context(), w, id); err != nil {
+		if err := runner.RenderFigureContext(ctx, w, id); err != nil {
 			done(err)
 			// Headers are gone; report in-band.
 			fmt.Fprintf(w, "\nerror: %v\n", err)
@@ -236,8 +239,8 @@ func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) 
 		done(nil)
 	})
 	mount("GET /api/headline", func(w http.ResponseWriter, r *http.Request) {
-		done := rec.begin(r, "headline", "headline", "")
-		rows, err := runner.HeadlineContext(r.Context())
+		ctx, done := rec.begin(r, "headline", "headline", "")
+		rows, err := runner.HeadlineContext(ctx)
 		done(err)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -252,15 +255,16 @@ func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) 
 			return
 		}
 		manager := r.URL.Query().Get("manager")
-		done := rec.begin(r, "run", bench, "manager="+manager)
-		rep, err := powerchop.RunContext(r.Context(), bench, powerchop.Options{
+		ctx, done := rec.begin(r, "run", bench, "manager="+manager)
+		rep, err := powerchop.RunContext(ctx, bench, powerchop.Options{
 			Manager:  manager,
 			Tracer:   l.tracer,
 			Progress: l.progress,
+			Cache:    rec.cache,
 		})
 		done(err)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), runErrorStatus(err))
 			return
 		}
 		writeJSON(w, rep)
@@ -272,20 +276,35 @@ func mountAPI(l *liveMonitor, runner *powerchop.FigureRunner, rec *apiRecorder) 
 			return
 		}
 		manager := r.URL.Query().Get("manager")
-		done := rec.begin(r, "explain", bench, "manager="+manager)
-		rep, err := powerchop.RunContext(r.Context(), bench, powerchop.Options{
+		ctx, done := rec.begin(r, "explain", bench, "manager="+manager)
+		rep, err := powerchop.RunContext(ctx, bench, powerchop.Options{
 			Manager:  manager,
 			Tracer:   l.tracer,
 			Progress: l.progress,
 			Audit:    true,
+			Cache:    rec.cache, // Audit bypasses it; /metrics counts that
 		})
 		done(err)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), runErrorStatus(err))
 			return
 		}
 		writeJSON(w, rep.Audit)
 	})
+}
+
+// runErrorStatus maps a failed run onto its HTTP status: the caller's
+// fault (an unknown benchmark, an invalid manager or parameter) is a
+// 4xx, anything else — a failed simulation — a 500.
+func runErrorStatus(err error) int {
+	switch {
+	case errors.Is(err, powerchop.ErrUnknownBenchmark):
+		return http.StatusNotFound
+	case errors.Is(err, powerchop.ErrInvalidOptions):
+		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
+	}
 }
 
 // newServeMonitor assembles the serve subcommand's monitor and runner —

@@ -8,10 +8,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"powerchop"
 	"powerchop/internal/obs"
+	"powerchop/internal/obs/runlog"
 	"powerchop/internal/obs/serve"
 )
 
@@ -208,3 +212,229 @@ func TestServeAPIRun(t *testing.T) {
 		t.Fatalf("board after /api/run: %+v", snap)
 	}
 }
+
+// testServer is a serve-subcommand monitor behind an httptest listener.
+type testServer struct {
+	t   *testing.T
+	l   *liveMonitor
+	url string
+}
+
+func newTestServer(t *testing.T, cacheDir string) *testServer {
+	t.Helper()
+	l, err := newServeMonitor(0.02, 2, cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(l.mon.Handler())
+	t.Cleanup(srv.Close)
+	return &testServer{t: t, l: l, url: srv.URL}
+}
+
+// get fetches path and returns the status code and body.
+func (s *testServer) get(path string) (int, string) {
+	s.t.Helper()
+	resp, err := http.Get(s.url + path)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// ok fetches path and fails the test unless it answers 200.
+func (s *testServer) ok(path string) string {
+	s.t.Helper()
+	code, body := s.get(path)
+	if code != http.StatusOK {
+		s.t.Fatalf("%s: %d %s", path, code, body)
+	}
+	return body
+}
+
+// metric reads one unlabeled sample from /metrics (0 when absent).
+func (s *testServer) metric(name string) float64 {
+	s.t.Helper()
+	for _, line := range strings.Split(s.ok("/metrics"), "\n") {
+		if v, found := strings.CutPrefix(line, name+" "); found {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				s.t.Fatalf("/metrics %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestServeAPIRunCached pins the server's use of its -cache store:
+// repeated /api/run requests are served from the cache byte-identically,
+// /api/explain stays a live audited run (one counted bypass each), and a
+// figure whose runs are all cached renders from hits alone.
+func TestServeAPIRunCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates benchmarks; skipped with -short")
+	}
+	dir := t.TempDir()
+	s := newTestServer(t, dir)
+
+	first := s.ok("/api/run?bench=namd")
+	second := s.ok("/api/run?bench=namd")
+	if first != second {
+		t.Error("cached /api/run reply differs from the live one")
+	}
+	if hit, store := s.metric("rescache_hit"), s.metric("rescache_store"); hit != 1 || store != 1 {
+		t.Errorf("after two /api/run: rescache_hit %v, rescache_store %v; want 1, 1", hit, store)
+	}
+
+	var explains []string
+	for i := 1; i <= 2; i++ {
+		explains = append(explains, s.ok("/api/explain?bench=namd"))
+		if n := s.metric("rescache_bypass"); n != float64(i) {
+			t.Errorf("after %d /api/explain: rescache_bypass %v, want %d", i, n, i)
+		}
+	}
+	if explains[0] != explains[1] {
+		t.Error("/api/explain replies differ")
+	}
+
+	const fig = "/api/figure?id=fig2"
+	cold := s.ok(fig)
+	before := map[string]float64{}
+	for _, name := range []string{"rescache_miss", "rescache_bypass", "rescache_store"} {
+		before[name] = s.metric(name)
+	}
+	if again := s.ok(fig); again != cold {
+		t.Error("repeated figure render differs from the first")
+	}
+	for name, n := range before {
+		if after := s.metric(name); after != n {
+			t.Errorf("repeated figure render: %s %v -> %v, want unchanged", name, n, after)
+		}
+	}
+	// A restarted server over the same directory renders the figure
+	// entirely from the cache: hits only, no misses, bypasses or stores.
+	r := newTestServer(t, dir)
+	warm := r.ok(fig)
+	if warm != cold {
+		t.Error("warm figure render differs from the cold one")
+	}
+	if hit := r.metric("rescache_hit"); hit == 0 {
+		t.Error("warm figure render hit nothing")
+	}
+	for _, name := range []string{"rescache_miss", "rescache_bypass", "rescache_store"} {
+		if n := r.metric(name); n != 0 {
+			t.Errorf("warm figure render: %s %v, want 0", name, n)
+		}
+	}
+}
+
+// TestServeRunHistoryOwnCacheCounts pins per-request cache attribution
+// in the run history: a hit served while another request's miss is
+// simulating journals one hit, and the miss journals one miss — neither
+// is charged the other's lookup.
+func TestServeRunHistoryOwnCacheCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates benchmarks; skipped with -short")
+	}
+	s := newTestServer(t, t.TempDir())
+	s.ok("/api/run?bench=namd") // warm namd
+
+	misses := func() float64 { return s.metric("rescache_miss") }
+	slow := make(chan string)
+	go func() {
+		code, body := s.get("/api/run?bench=gobmk")
+		if code != http.StatusOK {
+			body = "error: " + body
+		}
+		slow <- body
+	}()
+	// Wait until the gobmk request has looked the cache up and is
+	// simulating, then serve the namd hit inside its lifetime.
+	for deadline := time.Now().Add(time.Minute); misses() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("gobmk request never looked the cache up")
+		}
+	}
+	s.ok("/api/run?bench=namd")
+	if body := <-slow; strings.HasPrefix(body, "error: ") {
+		t.Fatal(body)
+	}
+
+	recs, _, err := s.l.mon.RunLog().List(runlog.Filter{Kind: "run"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("journal has %d run records, want 3", len(recs))
+	}
+	var hits, missed int
+	for _, rec := range recs {
+		switch {
+		case rec.Name == "gobmk" && rec.CacheHits == 0 && rec.CacheMisses == 1:
+			missed++
+		case rec.Name == "namd" && rec.CacheHits == 1 && rec.CacheMisses == 0:
+			hits++
+		case rec.Name == "namd" && rec.CacheHits == 0 && rec.CacheMisses == 1:
+			// The warm-up run.
+		default:
+			t.Errorf("record %s: %d hits, %d misses", rec.Name, rec.CacheHits, rec.CacheMisses)
+		}
+	}
+	if hits != 1 || missed != 1 {
+		t.Errorf("journal: %d namd hits, %d gobmk misses; want 1 each", hits, missed)
+	}
+}
+
+// TestServeAPIErrorStatus pins the 4xx/5xx split on the run routes: the
+// caller's faults answer 404 (unknown benchmark) or 400 (missing or
+// invalid parameters), a failed simulation answers 500.
+func TestServeAPIErrorStatus(t *testing.T) {
+	s := newTestServer(t, "")
+	for _, route := range []string{"/api/run", "/api/explain"} {
+		for _, tc := range []struct {
+			query string
+			want  int
+		}{
+			{"", http.StatusBadRequest},
+			{"?bench=nope", http.StatusNotFound},
+			{"?bench=namd&manager=nope", http.StatusBadRequest},
+		} {
+			if code, body := s.get(route + tc.query); code != tc.want {
+				t.Errorf("%s%s: %d %q, want %d", route, tc.query, code, body, tc.want)
+			}
+		}
+	}
+
+	// No request parameter can make a simulation fail, so the 500 class
+	// is pinned on the classifier with a real failed run: its trace
+	// output breaks.
+	_, simErr := powerchop.Run("namd", powerchop.Options{Passes: 0.05, TraceWriter: brokenWriter{}})
+	_, benchErr := powerchop.Run("nope", powerchop.Options{})
+	_, paramErr := powerchop.Run("namd", powerchop.Options{Params: map[string]float64{"vpu": 2}})
+	for _, tc := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"unknown benchmark", benchErr, http.StatusNotFound},
+		{"invalid parameter", paramErr, http.StatusBadRequest},
+		{"failed simulation", simErr, http.StatusInternalServerError},
+	} {
+		if tc.err == nil {
+			t.Fatalf("%s: run did not fail", tc.name)
+		}
+		if got := runErrorStatus(tc.err); got != tc.want {
+			t.Errorf("%s (%v): status %d, want %d", tc.name, tc.err, got, tc.want)
+		}
+	}
+}
+
+// brokenWriter fails every write.
+type brokenWriter struct{}
+
+func (brokenWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }

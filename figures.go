@@ -49,7 +49,8 @@ func WithJobs(n int) FigureOption {
 }
 
 // WithTracer attaches an event sink to every simulation the runner
-// launches. Simulations run concurrently, so the tracer must be safe for
+// launches (runs served from memo or the result cache emit nothing).
+// Simulations run concurrently, so the tracer must be safe for
 // concurrent emission (obs/serve's fan-out hub and the metrics collector
 // both are). Figure output stays byte-identical with or without it.
 func WithTracer(t obs.Tracer) FigureOption {
@@ -67,9 +68,11 @@ func WithProgress(fn func(RunProgress)) FigureOption {
 // WithCache attaches a persistent result cache: every canonical run the
 // runner launches is looked up before simulating and stored after. A
 // warm cache renders the full figure set byte-identically to a cold run
-// at a fraction of the cost. When a tracer is also attached the cache is
-// bypassed (and the bypass counted) — cached results cannot replay the
-// event stream.
+// at a fraction of the cost. An attached tracer keeps the cache on: it
+// receives the events of the runs that miss and simulate, while hits
+// emit none. Only the powertrace figure's telemetry run bypasses the
+// cache (and counts the bypass) — a cached result cannot replay its
+// per-window series.
 func WithCache(c *rescache.Cache) FigureOption {
 	return func(fc *figureConfig) { fc.cache = c }
 }

@@ -70,9 +70,10 @@ type Runner struct {
 	sims    atomic.Uint64
 
 	// Tracer, when non-nil, is threaded into every simulation the runner
-	// launches (cached results are not re-run, so set it before the first
-	// Result call). Figures run many benchmarks through one Runner, so a
-	// shared sink must be safe for concurrent emission.
+	// launches. Memoized and persistent-cache results are not re-run, so
+	// it sees only the simulations actually performed; set it before the
+	// first Result call. Figures run many benchmarks through one Runner,
+	// so a shared sink must be safe for concurrent emission.
 	Tracer obs.Tracer
 
 	// Progress, when non-nil, receives run lifecycle updates: queued when
@@ -83,10 +84,12 @@ type Runner struct {
 	Progress ProgressSink
 
 	// Cache, when non-nil, is a persistent result store consulted before
-	// each simulation and filled after it: a hit skips the run entirely
-	// and never occupies a job slot. When a Tracer is also set the cache
-	// is bypassed (and the bypass counted) — a cached result cannot
-	// replay the event stream. Set it before the first Result call.
+	// each simulation and filled after it: a hit skips the run entirely,
+	// emits no Tracer events and never occupies a job slot. A Tracer
+	// keeps the cache on (a miss simulates live, streaming its events,
+	// then files the result); only Telemetry runs bypass it (and count
+	// the bypass) — a cached result cannot replay the per-window series.
+	// Set it before the first Result call.
 	Cache *rescache.Cache
 
 	// Batch caps how many cold lanes one ResultBatch call hands to a
@@ -250,8 +253,9 @@ func policyRun(name string, params policy.Params) (runSpec, error) {
 // retry, matching the serial runner's cache-on-success semantics.
 //
 // When ctx carries a span (internal/obs/span) the flight owner's
-// simulation runs under a "benchmark" child span; deduplicated waiters
-// and cache hits open no span of their own.
+// simulation runs under a "benchmark" child span (with no "sim" child
+// when the persistent cache serves it); deduplicated waiters and
+// memoized results open no span of their own.
 func (r *Runner) Result(ctx context.Context, b workload.Benchmark, kind Kind) (*sim.Result, error) {
 	return r.result(ctx, b, kindRun(kind))
 }
@@ -364,8 +368,8 @@ func (r *Runner) batchCap() int {
 // like result's.
 func (r *Runner) resultBatch(ctx context.Context, b workload.Benchmark, rss []runSpec) ([]*sim.Result, error) {
 	if r.batchCap() == 1 || r.Tracer != nil {
-		// Nothing to batch — and with a tracer attached every run wants
-		// its own solo event stream (and bypasses the cache) anyway.
+		// Nothing to batch — and with a tracer attached every cold run
+		// wants its own solo event stream anyway.
 		out := make([]*sim.Result, len(rss))
 		for i, rs := range rss {
 			res, err := r.result(ctx, b, rs)
@@ -453,7 +457,7 @@ func (r *Runner) simulateBatch(ctx context.Context, b workload.Benchmark, rss []
 	for _, i := range owned {
 		keys[i], cacheable[i] = r.cacheKey(b, p, rss[i], 0, runLen)
 		if cacheable[i] {
-			if hit, ok := r.Cache.Get(keys[i]); ok {
+			if hit, ok := r.Cache.GetContext(ctx, keys[i]); ok {
 				settle(i, hit, nil)
 				continue
 			}
@@ -537,13 +541,14 @@ func (r *Runner) simulateGroup(ctx context.Context, b workload.Benchmark, p *pro
 
 // cacheKey derives the canonical persistent-cache key for a run, or
 // reports that the cache must be skipped: no cache configured, or a
-// tracer or telemetry store attached (a cached result cannot replay the
-// event stream — that skip is counted as a bypass).
+// telemetry store attached (a cached result cannot replay the
+// per-window series — that skip is counted as a bypass). The runner's
+// Tracer does not skip the cache: hits simply emit no events.
 func (r *Runner) cacheKey(b workload.Benchmark, p *program.Program, rs runSpec, sampleInterval, runLen uint64) (rescache.Key, bool) {
 	if r.Cache == nil {
 		return rescache.Key{}, false
 	}
-	if r.Tracer != nil || rs.telemetry != nil {
+	if rs.telemetry != nil {
 		r.Cache.CountBypass()
 		return rescache.Key{}, false
 	}
@@ -591,7 +596,7 @@ func (r *Runner) simulate(ctx context.Context, b workload.Benchmark, rs runSpec,
 	runLen = r.runLength(p.TotalScheduleTranslations())
 	key, cacheable := r.cacheKey(b, p, rs, sampleInterval, runLen)
 	if cacheable {
-		if hit, ok := r.Cache.Get(key); ok {
+		if hit, ok := r.Cache.GetContext(ctx, key); ok {
 			return hit, nil
 		}
 	}

@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
 
+	"powerchop/internal/obs"
+	"powerchop/internal/obs/tsdb"
+	"powerchop/internal/rescache"
 	"powerchop/internal/workload"
 )
 
@@ -123,5 +128,67 @@ func TestResultErrorNotCached(t *testing.T) {
 	}
 	if n := r.Simulations(); n != 0 {
 		t.Fatalf("failed runs counted %d simulations", n)
+	}
+}
+
+// TestRunnerTracerKeepsCache pins the runner's bypass rule: a Tracer
+// does not turn the persistent cache off — a fresh traced runner over a
+// warm cache serves the run without simulating or emitting events —
+// while a Telemetry run still bypasses it, counting the bypass.
+func TestRunnerTracerKeepsCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow; skipped with -short")
+	}
+	b, err := workload.ByName("namd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := rescache.New(t.TempDir(), nil)
+	ctx := context.Background()
+
+	cold := NewRunner(0.05)
+	coldRing := obs.NewRing(1 << 16)
+	cold.Tracer, cold.Cache = coldRing, cache
+	want, err := cold.Result(ctx, b, KindPowerChop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 1 || st.Stores != 1 || st.Bypass != 0 {
+		t.Fatalf("traced cold run: stats = %+v, want one miss and one store", st)
+	}
+	if coldRing.Total() == 0 {
+		t.Fatal("traced cold run emitted no events")
+	}
+
+	warm := NewRunner(0.05)
+	warmRing := obs.NewRing(1 << 16)
+	warm.Tracer, warm.Cache = warmRing, cache
+	got, err := warm.Result(ctx, b, KindPowerChop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Bypass != 0 {
+		t.Fatalf("traced warm run: stats = %+v, want one hit", st)
+	}
+	if n := warm.Simulations(); n != 0 {
+		t.Errorf("traced warm run simulated %d times, want 0", n)
+	}
+	if n := warmRing.Total(); n != 0 {
+		t.Errorf("traced warm run emitted %d events, want 0", n)
+	}
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("cache hit diverges from the traced live run")
+	}
+
+	if _, err := warm.Telemetry(ctx, b, KindPowerChop, tsdb.NewStore(tsdb.DefaultConfig())); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Bypass != 1 || st.Stores != 1 || st.Hits != 1 {
+		t.Errorf("telemetry run: stats = %+v, want one bypass and no new lookup or store", st)
+	}
+	if n := warm.Simulations(); n != 1 {
+		t.Errorf("telemetry run simulated %d times, want 1", n)
 	}
 }

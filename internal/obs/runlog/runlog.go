@@ -45,8 +45,9 @@ type Record struct {
 	Params string `json:"params,omitempty"`
 	// DurationMS is the work's wall-clock duration in milliseconds.
 	DurationMS float64 `json:"duration_ms"`
-	// CacheHits/CacheMisses count persistent result-cache activity
-	// attributable to the work (deltas over its execution).
+	// CacheHits/CacheMisses count the persistent result-cache lookups
+	// made for the work itself (not those of concurrent work sharing the
+	// cache).
 	CacheHits   uint64 `json:"cache_hits,omitempty"`
 	CacheMisses uint64 `json:"cache_misses,omitempty"`
 	// Outcome is "ok" or "error"; Error carries the message.

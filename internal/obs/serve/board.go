@@ -76,13 +76,15 @@ func (b *Board) Update(u RunUpdate) {
 	}
 	switch u.State {
 	case StateSimulating:
-		if row.started.IsZero() {
-			row.started = b.now()
+		if prev.State != StateSimulating {
+			// A new lifecycle: the first run, or a re-run of a finished one.
+			row.started, row.elapsed = b.now(), 0
 		}
 	case StateDone, StateError:
-		if u.Elapsed > 0 {
-			row.elapsed = u.Elapsed
-		} else if !row.started.IsZero() {
+		// A run that completes without simulating (a result-cache hit)
+		// keeps its reported elapsed time, not the age of an earlier run.
+		row.elapsed = u.Elapsed
+		if u.Elapsed == 0 && prev.State == StateSimulating {
 			row.elapsed = b.now().Sub(row.started)
 		}
 	}

@@ -122,6 +122,35 @@ func TestBoardSharedBenchmarkCollision(t *testing.T) {
 	}
 }
 
+// TestBoardRerunElapsed covers repeated runs of one (benchmark, kind):
+// a re-run restarts the live clock, and a run that completes without
+// simulating (a result-cache hit reports only done) shows its own
+// elapsed time rather than the age of the earlier run.
+func TestBoardRerunElapsed(t *testing.T) {
+	b := NewBoard()
+	clock := time.Unix(3000, 0)
+	b.now = func() time.Time { return clock }
+
+	b.Update(RunUpdate{Benchmark: "gobmk", Kind: "powerchop", State: StateSimulating})
+	clock = clock.Add(5 * time.Second)
+	b.Update(RunUpdate{Benchmark: "gobmk", Kind: "powerchop", State: StateDone})
+	if got := b.Snapshot().Runs[0].ElapsedSeconds; got != 5 {
+		t.Fatalf("first run elapsed = %v, want 5", got)
+	}
+
+	clock = clock.Add(time.Minute)
+	b.Update(RunUpdate{Benchmark: "gobmk", Kind: "powerchop", State: StateDone})
+	if got := b.Snapshot().Runs[0].ElapsedSeconds; got != 0 {
+		t.Errorf("cache-hit elapsed = %v, want 0", got)
+	}
+
+	b.Update(RunUpdate{Benchmark: "gobmk", Kind: "powerchop", State: StateSimulating})
+	clock = clock.Add(2 * time.Second)
+	if got := b.Snapshot().Runs[0].ElapsedSeconds; got != 2 {
+		t.Errorf("re-run live elapsed = %v, want 2", got)
+	}
+}
+
 func TestBoardJSON(t *testing.T) {
 	b := NewBoard()
 	b.Update(RunUpdate{Benchmark: "mcf", Kind: "powerchop", State: StateQueued})

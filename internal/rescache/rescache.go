@@ -18,6 +18,7 @@
 package rescache
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"powerchop/internal/obs"
 	"powerchop/internal/sim"
@@ -176,9 +178,9 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// CountBypass records that a run skipped the cache (e.g. because an
-// event-stream consumer was attached, which a cached result cannot
-// replay).
+// CountBypass records that a run skipped the cache (e.g. because it
+// records its whole event stream or audit trail, which a cached result
+// cannot replay).
 func (c *Cache) CountBypass() { c.bypass.Inc() }
 
 // path returns the entry file for a key digest.
@@ -220,6 +222,42 @@ func (c *Cache) Get(key Key) (*sim.Result, bool) {
 	}
 	c.hits.Inc()
 	return &res, true
+}
+
+// Tally is one caller's own share of a cache's lookups. GetContext counts
+// each hit or miss in the Tally its context carries, on top of the
+// cache's global counters, so a server handling concurrent requests can
+// charge each request only the lookups made on its behalf.
+type Tally struct {
+	hits, misses atomic.Uint64
+}
+
+// Hits returns the hits counted so far.
+func (t *Tally) Hits() uint64 { return t.hits.Load() }
+
+// Misses returns the misses counted so far.
+func (t *Tally) Misses() uint64 { return t.misses.Load() }
+
+type tallyKey struct{}
+
+// WithTally returns a context under which GetContext lookups also count
+// in t.
+func WithTally(ctx context.Context, t *Tally) context.Context {
+	return context.WithValue(ctx, tallyKey{}, t)
+}
+
+// GetContext is Get, with the outcome also counted in the Tally ctx
+// carries (see WithTally), if any.
+func (c *Cache) GetContext(ctx context.Context, key Key) (*sim.Result, bool) {
+	res, ok := c.Get(key)
+	if t, _ := ctx.Value(tallyKey{}).(*Tally); t != nil {
+		if ok {
+			t.hits.Add(1)
+		} else {
+			t.misses.Add(1)
+		}
+	}
+	return res, ok
 }
 
 // Put stores the result under key. The entry is written to a temp file

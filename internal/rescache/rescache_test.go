@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -221,5 +222,37 @@ func TestResultSurvivesEnvelope(t *testing.T) {
 	}
 	if res.KnownPhases != got.KnownPhases {
 		t.Fatalf("KnownPhases: stored %d, loaded %d", res.KnownPhases, got.KnownPhases)
+	}
+}
+
+// TestTallyCountsOwnLookups pins per-caller attribution: lookups under a
+// context carrying a Tally count there and in the global counters, while
+// lookups under other contexts reach only the global counters.
+func TestTallyCountsOwnLookups(t *testing.T) {
+	c := New(t.TempDir(), nil)
+	key := testKey()
+	if err := c.Put(key, testResult(t)); err != nil {
+		t.Fatal(err)
+	}
+	missing := key
+	missing.Config = "translations=1"
+
+	var mine, theirs Tally
+	ctx := WithTally(context.Background(), &mine)
+	other := WithTally(context.Background(), &theirs)
+	c.GetContext(ctx, key)
+	c.GetContext(ctx, key)
+	c.GetContext(ctx, missing)
+	c.GetContext(other, missing)
+	c.GetContext(context.Background(), key)
+
+	if mine.Hits() != 2 || mine.Misses() != 1 {
+		t.Errorf("own tally = %d hits, %d misses; want 2, 1", mine.Hits(), mine.Misses())
+	}
+	if theirs.Hits() != 0 || theirs.Misses() != 1 {
+		t.Errorf("other tally = %d hits, %d misses; want 0, 1", theirs.Hits(), theirs.Misses())
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 2 {
+		t.Errorf("global stats = %+v, want 3 hits, 2 misses", st)
 	}
 }

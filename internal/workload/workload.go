@@ -22,6 +22,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -92,6 +93,10 @@ func BySuite(suite string) []Benchmark {
 	return out
 }
 
+// ErrUnknownBenchmark is wrapped by ByName's error for a name that is not
+// registered.
+var ErrUnknownBenchmark = errors.New("workload: unknown benchmark")
+
 // ByName returns the named benchmark.
 func ByName(name string) (Benchmark, error) {
 	for _, b := range registry {
@@ -99,7 +104,7 @@ func ByName(name string) (Benchmark, error) {
 			return b, nil
 		}
 	}
-	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
+	return Benchmark{}, fmt.Errorf("%w %q", ErrUnknownBenchmark, name)
 }
 
 // Names returns all benchmark names in registry order.

@@ -26,6 +26,7 @@ package powerchop
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -113,10 +114,13 @@ type Options struct {
 	// Metrics it is a pure observer — the simulated results are
 	// bit-identical with or without it.
 	Audit bool
-	// Tracer, when non-nil, receives the run's event stream alongside any
-	// TraceWriter — the hook live monitors attach to (see internal
-	// obs/serve). It must be safe for concurrent emission if the caller
-	// also sets Parallelism above one.
+	// Tracer, when non-nil, receives the event stream of every run that
+	// actually simulates, alongside any TraceWriter — the hook live
+	// monitors attach to (see internal obs/serve). It does not turn the
+	// result cache off: a Cache hit simulates nothing and emits no
+	// events, so the tracer sees exactly the simulations performed. It
+	// must be safe for concurrent emission if the caller also sets
+	// Parallelism above one.
 	Tracer obs.Tracer
 	// Telemetry, when non-nil, streams the run's per-window series
 	// (instruction counts, IPC, stalls, per-unit power fractions, PVT hit
@@ -146,11 +150,13 @@ type Options struct {
 	// Cache, when non-nil, is a persistent content-addressed result
 	// store (internal/rescache): Run consults it before simulating and
 	// files the result afterwards, so repeated identical runs are
-	// near-instant and byte-identical. Runs with an event-stream
-	// consumer attached (TraceWriter, Tracer, Metrics, Audit or
-	// Telemetry) bypass
-	// the cache — a cached result cannot replay the stream. Progress
-	// still works on a hit: the callback receives the final done report.
+	// near-instant and byte-identical. Runs that record the whole run
+	// (TraceWriter, Metrics, Audit or Telemetry) bypass the cache, and
+	// the bypass is counted — a cached result cannot replay the stream
+	// they record. A Tracer does not bypass: a miss simulates live,
+	// streaming its events, and is then filed; a hit emits no events.
+	// Progress works either way: on a hit the callback receives only the
+	// final done report.
 	Cache *rescache.Cache
 	// CacheDir, when non-empty and Cache is nil, opens a cache rooted at
 	// that directory (created on first store) with a private metrics
@@ -171,6 +177,26 @@ const (
 	StateDone       = "done"
 	StateError      = "error"
 )
+
+// Run, RunBatch and Compare classify a failure that lies with the
+// caller's request by wrapping it in one of these sentinels (test with
+// errors.Is); the error text stays the underlying cause's. Any other
+// failure (a simulation or trace-output error) lies with the program or
+// its environment.
+var (
+	// ErrUnknownBenchmark marks a benchmark name that is not registered.
+	ErrUnknownBenchmark = workload.ErrUnknownBenchmark
+	// ErrInvalidOptions marks an unknown manager or design, or a policy
+	// parameter that is unknown or out of range.
+	ErrInvalidOptions = errors.New("powerchop: invalid options")
+)
+
+// invalidOptions marks err as an ErrInvalidOptions failure without
+// changing its text.
+type invalidOptions struct{ err error }
+
+func (e invalidOptions) Error() string   { return e.err.Error() }
+func (e invalidOptions) Unwrap() []error { return []error{ErrInvalidOptions, e.err} }
 
 // RunProgress is one progress report about a simulation: which
 // (benchmark, kind) run it concerns, where it is in its lifecycle, and
@@ -571,21 +597,21 @@ type laneRun struct {
 func prepareRun(ctx context.Context, p *program.Program, b workload.Benchmark, opts Options) (*laneRun, error) {
 	spec, params, err := resolvePolicy(opts)
 	if err != nil {
-		return nil, err
+		return nil, invalidOptions{err}
 	}
 	// Fingerprint validates parameters (bounds, unknown names) and
 	// renders the canonical policy identity for the cache key.
 	fingerprint, err := spec.Fingerprint(params)
 	if err != nil {
-		return nil, err
+		return nil, invalidOptions{err}
 	}
 	m, err := spec.Manager(params)
 	if err != nil {
-		return nil, err
+		return nil, invalidOptions{err}
 	}
 	design, err := designFor(opts, b)
 	if err != nil {
-		return nil, err
+		return nil, invalidOptions{err}
 	}
 	passes := opts.Passes
 	if passes <= 0 {
@@ -616,16 +642,17 @@ func prepareRun(ctx context.Context, p *program.Program, b workload.Benchmark, o
 		Telemetry:       opts.Telemetry,
 	}
 
-	// Persistent result cache: consult before simulating, fill after. Any
-	// run with an observer attached bypasses (a cached result cannot
-	// replay the event stream or rebuild metrics/audit trails); the skip
-	// is counted so /metrics shows it happening.
+	// Persistent result cache: consult before simulating, fill after.
+	// Full per-run recording bypasses (a cached result cannot replay the
+	// event trace or rebuild metrics, audit trails or telemetry series);
+	// the skip is counted so /metrics shows it happening. A live Tracer
+	// keeps the cache: it sees the events of the runs that simulate.
 	resCache := opts.Cache
 	if resCache == nil && opts.CacheDir != "" {
 		resCache = rescache.New(opts.CacheDir, nil)
 	}
 	if resCache != nil {
-		if opts.TraceWriter != nil || opts.Tracer != nil || opts.Metrics || opts.Audit || opts.Telemetry != nil {
+		if opts.TraceWriter != nil || opts.Metrics || opts.Audit || opts.Telemetry != nil {
 			resCache.CountBypass()
 		} else {
 			lane.resCache = resCache
@@ -657,12 +684,13 @@ func prepareRun(ctx context.Context, p *program.Program, b workload.Benchmark, o
 }
 
 // cached consults the lane's persistent cache; on a hit it delivers the
-// done progress report and returns the finished Report.
+// done progress report (and no simulation events) and returns the
+// finished Report.
 func (l *laneRun) cached() (*Report, bool) {
 	if l.resCache == nil {
 		return nil, false
 	}
-	res, ok := l.resCache.Get(l.cacheKey)
+	res, ok := l.resCache.GetContext(l.cfg.Context, l.cacheKey)
 	if !ok {
 		return nil, false
 	}
@@ -715,9 +743,9 @@ func batchCap(batch int) int {
 // Run(benchmark, optsList[i]) returns; the batch exists purely to
 // amortize the shared instruction-stream work across the variants (see
 // DESIGN.md "Batched sweep execution"). Lanes whose results are already
-// in the persistent cache are served from it without simulating; lanes
-// with an event-stream consumer attached (TraceWriter, Tracer, Metrics,
-// Audit, Telemetry) fall back to solo simulation transparently. The
+// in the persistent cache are served from it without simulating; cold
+// lanes with an event-stream consumer attached (TraceWriter, Tracer,
+// Metrics, Audit, Telemetry) fall back to solo simulation transparently. The
 // first option set's Batch field caps the lanes per simulation group.
 func RunBatch(benchmark string, optsList []Options) ([]*Report, error) {
 	return RunBatchContext(context.Background(), benchmark, optsList)

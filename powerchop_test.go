@@ -2,6 +2,7 @@ package powerchop
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -248,5 +249,68 @@ func TestRenderSimulatedFigure(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Figure 1") {
 		t.Fatal("fig1 render missing title")
+	}
+}
+
+// failingWriter rejects every write, standing in for a broken trace
+// destination.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestRunErrorClasses pins how run failures classify: the caller's
+// faults wrap ErrUnknownBenchmark or ErrInvalidOptions (through Run and
+// RunBatch alike) without changing the error text, while a failure of
+// the run itself wraps neither.
+func TestRunErrorClasses(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		run   func() error
+		class error // nil: neither sentinel
+		text  string
+	}{
+		{"unknown benchmark", func() error {
+			_, err := Run("nope", Options{})
+			return err
+		}, ErrUnknownBenchmark, `workload: unknown benchmark "nope"`},
+		{"unknown benchmark batched", func() error {
+			_, err := RunBatch("nope", []Options{{}})
+			return err
+		}, ErrUnknownBenchmark, "unknown benchmark"},
+		{"unknown manager", func() error {
+			_, err := Run("namd", Options{Manager: "nope"})
+			return err
+		}, ErrInvalidOptions, `powerchop: unknown manager "nope"`},
+		{"unknown parameter", func() error {
+			_, err := Run("namd", Options{Params: map[string]float64{"nope": 1}})
+			return err
+		}, ErrInvalidOptions, `unknown parameter "nope"`},
+		{"parameter out of range batched", func() error {
+			_, err := RunBatch("namd", []Options{{}, {Params: map[string]float64{"vpu": 1.5}}})
+			return err
+		}, ErrInvalidOptions, "out of"},
+		{"unknown design", func() error {
+			_, err := Run("namd", Options{Arch: "nope"})
+			return err
+		}, ErrInvalidOptions, `unknown design "nope"`},
+		{"trace output fails", func() error {
+			_, err := Run("namd", Options{Passes: 0.05, TraceWriter: failingWriter{}})
+			return err
+		}, nil, "disk full"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run()
+			if err == nil {
+				t.Fatal("no error")
+			}
+			if !strings.Contains(err.Error(), tc.text) {
+				t.Errorf("error %q does not contain %q", err, tc.text)
+			}
+			for _, class := range []error{ErrUnknownBenchmark, ErrInvalidOptions} {
+				if got, want := errors.Is(err, class), class == tc.class; got != want {
+					t.Errorf("errors.Is(%q, %v) = %v, want %v", err, class, got, want)
+				}
+			}
+		})
 	}
 }
