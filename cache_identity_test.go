@@ -36,10 +36,17 @@ func TestWarmCacheFiguresByteIdentical(t *testing.T) {
 	if st := cache.Stats(); st.Stores == 0 {
 		t.Fatalf("cold render stored nothing: %+v", st)
 	}
+	before := cache.Stats()
 	warm := render(WithCache(cache))
 	st := cache.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("warm render hit nothing: %+v", st)
+	}
+	// A warm render simulates nothing: every run, the powertrace
+	// figure's telemetry run included, is served from the cache.
+	if st.Misses != before.Misses || st.Bypass != before.Bypass || st.Stores != before.Stores {
+		t.Errorf("warm render missed %d, bypassed %d and stored %d times, want 0 each",
+			st.Misses-before.Misses, st.Bypass-before.Bypass, st.Stores-before.Stores)
 	}
 
 	if cold != uncached {
@@ -82,9 +89,9 @@ func TestRunCacheHitMatchesLiveRun(t *testing.T) {
 }
 
 // TestRunCacheBypassedForObservers pins the bypass rule: each consumer
-// that records the whole run (the JSONL trace, metrics, the audit trail,
-// telemetry series) disables the cache — counted, not silent — because
-// a cached Result cannot replay what it records.
+// that records the whole event stream (the JSONL trace, metrics, the
+// audit trail) disables the cache — counted, not silent — because a
+// cached Result cannot replay what it records.
 func TestRunCacheBypassedForObservers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates a benchmark per observer")
@@ -96,7 +103,6 @@ func TestRunCacheBypassedForObservers(t *testing.T) {
 		{"TraceWriter", func(o *Options) { o.TraceWriter = io.Discard }},
 		{"Metrics", func(o *Options) { o.Metrics = true }},
 		{"Audit", func(o *Options) { o.Audit = true }},
-		{"Telemetry", func(o *Options) { o.Telemetry = tsdb.NewStore(tsdb.DefaultConfig()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := rescache.New(t.TempDir(), nil)
@@ -189,5 +195,74 @@ func TestRunCacheServesTracedRuns(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("traced hit Report JSON differs from the untraced live run's")
+	}
+}
+
+// TestRunCacheReplaysTelemetry pins the telemetry half of the rule: a
+// Telemetry store keeps the cache. A miss simulates live and files the
+// run's per-window rows with its result; a hit simulates nothing and
+// replays them, leaving a store whose every series, at every level, is
+// byte-identical to the live run's — also when the store already holds
+// an earlier run's rows.
+func TestRunCacheReplaysTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a benchmark three times")
+	}
+	const bench = "bzip2"
+	cache := rescache.New(t.TempDir(), nil)
+	run := func(manager string, ts *tsdb.Store) *Report {
+		t.Helper()
+		rep, err := Run(bench, Options{Manager: manager, Passes: 0.3, Telemetry: ts, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	reportJSON := func(rep *Report) []byte {
+		t.Helper()
+		out, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	// A plain entry for the same run must not serve the telemetry run:
+	// it holds no rows to replay.
+	if _, err := Run(bench, Options{Passes: 0.3, Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	liveTS := tsdb.NewStore(tsdb.DefaultConfig())
+	live := run(ManagerPowerChop, liveTS)
+	if st := cache.Stats(); st.Misses != 2 || st.Stores != 2 || st.Hits != 0 || st.Bypass != 0 {
+		t.Fatalf("telemetry miss: stats = %+v, want a second miss and store, no hit or bypass", st)
+	}
+	if len(liveTS.SeriesNames()) == 0 {
+		t.Fatal("live telemetry run filled no series")
+	}
+	hitTS := tsdb.NewStore(tsdb.DefaultConfig())
+	hit := run(ManagerPowerChop, hitTS)
+	if st := cache.Stats(); st.Hits != 1 || st.Stores != 2 || st.Bypass != 0 {
+		t.Fatalf("telemetry hit: stats = %+v, want one hit and no new store", st)
+	}
+	if a, b := dumpStore(liveTS), dumpStore(hitTS); a != b {
+		t.Fatalf("replayed store diverges from live store:\nlive:\n%.2000s\nreplay:\n%.2000s", a, b)
+	}
+	if !bytes.Equal(reportJSON(hit), reportJSON(live)) {
+		t.Error("telemetry hit Report JSON differs from the live run's")
+	}
+
+	// A second configuration on top of each store: live into the store
+	// the live run filled, replayed into the one the hit filled.
+	run(ManagerTimeout, liveTS)
+	if st := cache.Stats(); st.Misses != 3 || st.Stores != 3 {
+		t.Fatalf("second live run: stats = %+v, want a third miss and store", st)
+	}
+	run(ManagerTimeout, hitTS)
+	if st := cache.Stats(); st.Hits != 2 || st.Stores != 3 {
+		t.Fatalf("second replay: stats = %+v, want a second hit and no new store", st)
+	}
+	if a, b := dumpStore(liveTS), dumpStore(hitTS); a != b {
+		t.Fatalf("replay onto earlier rows diverges from live:\nlive:\n%.2000s\nreplay:\n%.2000s", a, b)
 	}
 }

@@ -33,9 +33,10 @@
 // cache: completed simulations are stored content-addressed on disk and
 // reused across invocations, so a warm cache regenerates figures
 // byte-identically at a fraction of the cost. Runs that record the whole
-// run (-trace FILE, -metrics, explain's audit, telemetry) bypass the
-// cache — cached results cannot replay what they record. A live monitor
-// (-http, serve) keeps it: a hit simply emits no events.
+// event stream (-trace FILE, -metrics, explain's audit) bypass the cache —
+// cached results cannot replay what they record. A live monitor (-http,
+// serve) keeps it: a hit simply emits no events. So does -telemetry: the
+// cached entry carries the run's per-window rows, and a hit replays them.
 package main
 
 import (

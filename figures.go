@@ -65,14 +65,14 @@ func WithProgress(fn func(RunProgress)) FigureOption {
 	return func(c *figureConfig) { c.progress = fn }
 }
 
-// WithCache attaches a persistent result cache: every canonical run the
-// runner launches is looked up before simulating and stored after. A
-// warm cache renders the full figure set byte-identically to a cold run
-// at a fraction of the cost. An attached tracer keeps the cache on: it
-// receives the events of the runs that miss and simulate, while hits
-// emit none. Only the powertrace figure's telemetry run bypasses the
-// cache (and counts the bypass) — a cached result cannot replay its
-// per-window series.
+// WithCache attaches a persistent result cache: every run the runner
+// launches is looked up before simulating and stored after. A warm cache
+// renders the full figure set byte-identically to a cold run at a
+// fraction of the cost, and simulates nothing. An attached tracer keeps
+// the cache on: it receives the events of the runs that miss and
+// simulate, while hits emit none. The powertrace figure's telemetry run
+// is cached too: its entry carries the per-window rows, which a hit
+// replays into the figure's time-series store.
 func WithCache(c *rescache.Cache) FigureOption {
 	return func(fc *figureConfig) { fc.cache = c }
 }

@@ -85,11 +85,12 @@ type Runner struct {
 
 	// Cache, when non-nil, is a persistent result store consulted before
 	// each simulation and filled after it: a hit skips the run entirely,
-	// emits no Tracer events and never occupies a job slot. A Tracer
-	// keeps the cache on (a miss simulates live, streaming its events,
-	// then files the result); only Telemetry runs bypass it (and count
-	// the bypass) — a cached result cannot replay the per-window series.
-	// Set it before the first Result call.
+	// emits no Tracer events and never occupies a job slot. Every run
+	// uses it — Result, PolicyResult, ResultBatch, Sampled and Telemetry
+	// alike. A Tracer keeps it on (a miss simulates live, streaming its
+	// events, then files the result), and a Telemetry hit replays the
+	// stored per-window rows into the caller's store. Set it before the
+	// first Result call.
 	Cache *rescache.Cache
 
 	// Batch caps how many cold lanes one ResultBatch call hands to a
@@ -195,6 +196,22 @@ func designFor(b workload.Benchmark) arch.Design {
 	return arch.Server()
 }
 
+// The cache-key fingerprints of the two design points designFor picks,
+// rendered once: fingerprinting walks the whole design, and every cache
+// lookup needs one.
+var (
+	serverFingerprint = sync.OnceValue(func() string { return rescache.Fingerprint(arch.Server()) })
+	mobileFingerprint = sync.OnceValue(func() string { return rescache.Fingerprint(arch.Mobile()) })
+)
+
+// designFingerprint is rescache.Fingerprint(designFor(b)).
+func designFingerprint(b workload.Benchmark) string {
+	if b.Mobile {
+		return mobileFingerprint()
+	}
+	return serverFingerprint()
+}
+
 // runSpec describes one run configuration beyond the benchmark: how to
 // build the manager, how the run keys into the memo and persistent
 // caches, and how it is labeled in progress reports and spans.
@@ -211,8 +228,8 @@ type runSpec struct {
 	// not be shared across runs).
 	build func() (core.Manager, error)
 	// telemetry, when non-nil, attaches a time-series store to the run
-	// (Telemetry runs only; forces a cache bypass — a cached result
-	// cannot replay the per-window series).
+	// (Telemetry runs only). Such a run keys apart from the plain run,
+	// and a cache hit replays its per-window rows into the store.
 	telemetry *tsdb.Store
 }
 
@@ -299,20 +316,23 @@ func (r *Runner) result(ctx context.Context, b workload.Benchmark, rs runSpec) (
 }
 
 // Sampled runs the benchmark with time-series sampling enabled (used by
-// the Figure 1-3 time-series plots; not cached, but still bounded by the
-// runner's job slots).
+// the Figure 1-3 time-series plots). It is not memoized or deduplicated,
+// but the persistent cache serves it under its own sample=N key, and a
+// miss is bounded by the runner's job slots.
 func (r *Runner) Sampled(ctx context.Context, b workload.Benchmark, kind Kind, sampleInterval uint64) (*sim.Result, error) {
-	// Sampled runs are uncached extras sharing a key with the canonical
+	// Sampled runs are extras sharing a flight key with the canonical
 	// run, so they stay silent on the progress board.
 	return r.simulate(ctx, b, kindRun(kind), sampleInterval, false)
 }
 
 // Telemetry runs the benchmark with the time-series store attached as an
-// extra event sink (used by the power-trace figure and `powerchop top`'s
-// in-process mode). Like Sampled it is never cached — a cached result
-// cannot replay the per-window series — but still bounded by the
-// runner's job slots. The runner's shared Tracer, if any, stays attached
-// alongside, so figure output remains byte-identical either way.
+// extra event sink (used by the power-trace figure). Like Sampled it is
+// not memoized or deduplicated, and a miss is bounded by the runner's
+// job slots. The persistent cache serves it under its own key: the
+// stored Result carries the run's per-window rows, and a hit replays
+// them into ts, filling it exactly as the live run would have. The
+// runner's shared Tracer, if any, stays attached alongside, so figure
+// output remains byte-identical either way.
 func (r *Runner) Telemetry(ctx context.Context, b workload.Benchmark, kind Kind, ts *tsdb.Store) (*sim.Result, error) {
 	rs := kindRun(kind)
 	rs.telemetry = ts
@@ -540,24 +560,25 @@ func (r *Runner) simulateGroup(ctx context.Context, b workload.Benchmark, p *pro
 }
 
 // cacheKey derives the canonical persistent-cache key for a run, or
-// reports that the cache must be skipped: no cache configured, or a
-// telemetry store attached (a cached result cannot replay the
-// per-window series — that skip is counted as a bypass). The runner's
-// Tracer does not skip the cache: hits simply emit no events.
+// reports that no cache is configured. No observer the runner attaches
+// skips the cache: Tracer hits simply emit no events, and a telemetry
+// run keys as the plain run plus a telemetry=rows marker, so its entry
+// (which carries the per-window rows) never serves a plain lookup and a
+// plain entry never serves it.
 func (r *Runner) cacheKey(b workload.Benchmark, p *program.Program, rs runSpec, sampleInterval, runLen uint64) (rescache.Key, bool) {
 	if r.Cache == nil {
 		return rescache.Key{}, false
 	}
+	config := fmt.Sprintf("translations=%d sample=%d quality=%t",
+		runLen, sampleInterval, sampleInterval == 0 && rs.quality)
 	if rs.telemetry != nil {
-		r.Cache.CountBypass()
-		return rescache.Key{}, false
+		config += " telemetry=rows"
 	}
 	return rescache.Key{
 		Program: p.Digest(),
-		Design:  rescache.Fingerprint(designFor(b)),
+		Design:  designFingerprint(b),
 		Manager: rs.managerKey,
-		Config: fmt.Sprintf("translations=%d sample=%d quality=%t",
-			runLen, sampleInterval, sampleInterval == 0 && rs.quality),
+		Config:  config,
 	}, true
 }
 
@@ -597,6 +618,9 @@ func (r *Runner) simulate(ctx context.Context, b workload.Benchmark, rs runSpec,
 	key, cacheable := r.cacheKey(b, p, rs, sampleInterval, runLen)
 	if cacheable {
 		if hit, ok := r.Cache.GetContext(ctx, key); ok {
+			if rs.telemetry != nil {
+				hit.ReplayTelemetry(rs.telemetry)
+			}
 			return hit, nil
 		}
 	}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"powerchop/internal/arch"
 	"powerchop/internal/obs"
 	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/rescache"
+	"powerchop/internal/sim"
 	"powerchop/internal/workload"
 )
 
@@ -131,10 +134,11 @@ func TestResultErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestRunnerTracerKeepsCache pins the runner's bypass rule: a Tracer
-// does not turn the persistent cache off — a fresh traced runner over a
-// warm cache serves the run without simulating or emitting events —
-// while a Telemetry run still bypasses it, counting the bypass.
+// TestRunnerTracerKeepsCache pins the runner's cache rule: neither a
+// Tracer nor a telemetry store turns the persistent cache off. A fresh
+// traced runner over a warm cache serves the run without simulating or
+// emitting events, and a telemetry hit refills its store from the cached
+// per-window rows byte-identically to the live run.
 func TestRunnerTracerKeepsCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are slow; skipped with -short")
@@ -182,13 +186,101 @@ func TestRunnerTracerKeepsCache(t *testing.T) {
 		t.Error("cache hit diverges from the traced live run")
 	}
 
-	if _, err := warm.Telemetry(ctx, b, KindPowerChop, tsdb.NewStore(tsdb.DefaultConfig())); err != nil {
+	// A telemetry run keys apart from the plain run: the first misses,
+	// simulates live and files its per-window rows with the result.
+	liveTS := tsdb.NewStore(tsdb.DefaultConfig())
+	liveRes, err := warm.Telemetry(ctx, b, KindPowerChop, liveTS)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Bypass != 1 || st.Stores != 1 || st.Hits != 1 {
-		t.Errorf("telemetry run: stats = %+v, want one bypass and no new lookup or store", st)
+	if st := cache.Stats(); st.Misses != 2 || st.Stores != 2 || st.Hits != 1 || st.Bypass != 0 {
+		t.Errorf("telemetry miss: stats = %+v, want one new miss and one new store", st)
 	}
 	if n := warm.Simulations(); n != 1 {
-		t.Errorf("telemetry run simulated %d times, want 1", n)
+		t.Errorf("telemetry miss simulated %d times, want 1", n)
+	}
+	if len(liveRes.Telemetry) == 0 {
+		t.Fatal("live telemetry run kept no rows")
+	}
+
+	// The second, on a fresh runner, is served from the cache: nothing
+	// simulates, yet the store it fills is byte-identical to the live one.
+	again := NewRunner(0.05)
+	againRing := obs.NewRing(1 << 16)
+	again.Tracer, again.Cache = againRing, cache
+	hitTS := tsdb.NewStore(tsdb.DefaultConfig())
+	hitRes, err := again.Telemetry(ctx, b, KindPowerChop, hitTS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 2 || st.Stores != 2 || st.Bypass != 0 {
+		t.Errorf("telemetry hit: stats = %+v, want one new hit and no new store", st)
+	}
+	if n := again.Simulations(); n != 0 {
+		t.Errorf("telemetry hit simulated %d times, want 0", n)
+	}
+	if n := againRing.Total(); n != 0 {
+		t.Errorf("telemetry hit emitted %d events, want 0", n)
+	}
+	if live, hit := dumpStore(liveTS), dumpStore(hitTS); live != hit {
+		t.Fatalf("replayed store diverges from live store:\nlive:\n%.2000s\nreplay:\n%.2000s", live, hit)
+	}
+	withoutRows := func(res *sim.Result) []byte {
+		c := *res
+		c.Telemetry = nil
+		out, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if !bytes.Equal(withoutRows(hitRes), withoutRows(liveRes)) {
+		t.Error("telemetry hit Result diverges from the live telemetry run's")
+	}
+	if !bytes.Equal(withoutRows(liveRes), wantJSON) {
+		t.Error("telemetry run Result, rows removed, diverges from the plain run's")
+	}
+}
+
+// dumpStore renders every series' every level for byte comparison (as
+// the root package's telemetry identity test does).
+func dumpStore(ts *tsdb.Store) string {
+	var b bytes.Buffer
+	for _, name := range ts.SeriesNames() {
+		for _, l := range ts.Levels() {
+			fmt.Fprintf(&b, "%s@%d: %+v\n", name, l.Bucket, ts.LevelBuckets(name, l.Bucket))
+		}
+	}
+	return b.String()
+}
+
+// TestDesignFingerprintsMatch pins the memoized design fingerprints to
+// what rescache.Fingerprint renders for each design point, so cache
+// entries written before the memo keep hitting.
+func TestDesignFingerprintsMatch(t *testing.T) {
+	r := NewRunner(0.05)
+	r.Cache = rescache.New(t.TempDir(), nil)
+	for _, tc := range []struct {
+		bench string
+		want  string
+	}{
+		{"gobmk", rescache.Fingerprint(arch.Server())},
+		{"amazon", rescache.Fingerprint(arch.Mobile())},
+	} {
+		b, err := workload.ByName(tc.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, ok := r.cacheKey(b, p, kindRun(KindPowerChop), 0, 1)
+		if !ok {
+			t.Fatal("no key with a cache attached")
+		}
+		if key.Design != tc.want {
+			t.Errorf("%s: Key.Design = %.60q..., want %.60q...", tc.bench, key.Design, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -39,6 +40,11 @@ type IngestorConfig struct {
 	// power-fraction sample per unit even before a unit's first gating
 	// transition. Units first seen in gate events are added on the fly.
 	Units []string
+	// KeepRows keeps a copy of every committed row, in commit order, for
+	// Rows to return. A run's rows replayed through Store.AppendBatch
+	// rebuild exactly what the ingestor wrote, which is how a cached run
+	// refills a store without simulating.
+	KeepRows bool
 }
 
 // Ingestor adapts the obs event stream into Store samples. It replays
@@ -71,6 +77,8 @@ type Ingestor struct {
 	lookup   int8 // -1 none, 0 miss, 1 hit
 	scores   []unitScore
 	row      []Sample // scratch for the per-window batch commit
+	keep     bool
+	rows     [][]Sample // committed rows, when keep is set
 
 	prevEnd    float64 // previous window's close cycle (current run)
 	lastWindow uint64  // highest window ordinal seen (current run)
@@ -85,7 +93,7 @@ type unitScore struct {
 
 // NewIngestor builds an ingestor feeding the store.
 func NewIngestor(store *Store, cfg IngestorConfig) *Ingestor {
-	in := &Ingestor{store: store, slot: map[string]int{}, lookup: -1}
+	in := &Ingestor{store: store, slot: map[string]int{}, lookup: -1, keep: cfg.KeepRows}
 	units := append([]string(nil), cfg.Units...)
 	sort.Strings(units)
 	for _, u := range units {
@@ -203,6 +211,18 @@ func (in *Ingestor) flush() {
 	}
 	in.row = row
 	in.store.AppendBatch(row)
+	if in.keep {
+		// row is scratch reused by the next flush, so keep a copy.
+		in.rows = append(in.rows, slices.Clone(row))
+	}
+}
+
+// Rows returns the rows committed so far, in commit order, when the
+// ingestor was built with KeepRows (nil otherwise).
+func (in *Ingestor) Rows() [][]Sample {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.rows
 }
 
 // Flush commits any open row without waiting for the next window close

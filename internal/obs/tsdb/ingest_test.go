@@ -186,6 +186,50 @@ func TestIngestorRunConcatenation(t *testing.T) {
 	}
 }
 
+// levelDump renders every level of every series for byte comparison.
+func levelDump(s *Store) string {
+	var out string
+	for _, name := range s.SeriesNames() {
+		for _, spec := range testConfig().Levels {
+			out += fmt.Sprintf("%s@%d: %+v\n", name, spec.Bucket, s.LevelBuckets(name, spec.Bucket))
+		}
+	}
+	return out
+}
+
+// TestIngestorKeepRowsReplay pins KeepRows: the kept rows are copies of
+// what was committed (not views of the reused scratch row), and
+// replaying them through AppendBatch rebuilds the live store exactly —
+// also on top of a store that already holds earlier rows.
+func TestIngestorKeepRowsReplay(t *testing.T) {
+	live := NewStore(testConfig())
+	syntheticRun(NewIngestor(live, IngestorConfig{Units: []string{"VPU", "BPU"}}))
+	in := NewIngestor(live, IngestorConfig{Units: []string{"VPU", "BPU"}, KeepRows: true})
+	syntheticRun(in)
+	rows := in.Rows()
+	if len(rows) != 3 {
+		t.Fatalf("kept %d rows, want 3 (one per window)", len(rows))
+	}
+	if rows[0][0].Series != SeriesInsns || rows[0][0].Value != 500 || rows[2][0].Value != 720 {
+		t.Fatalf("kept rows alias the scratch row: %+v", rows)
+	}
+
+	replay := NewStore(testConfig())
+	syntheticRun(NewIngestor(replay, IngestorConfig{Units: []string{"VPU", "BPU"}}))
+	for _, row := range rows {
+		replay.AppendBatch(row)
+	}
+	if got, want := levelDump(replay), levelDump(live); got != want {
+		t.Fatalf("replayed store diverges:\n%s\nlive:\n%s", got, want)
+	}
+
+	plain := NewIngestor(NewStore(testConfig()), IngestorConfig{})
+	syntheticRun(plain)
+	if plain.Rows() != nil {
+		t.Fatal("an ingestor without KeepRows kept rows")
+	}
+}
+
 func TestIngestorIgnoresSpans(t *testing.T) {
 	s := NewStore(testConfig())
 	in := NewIngestor(s, IngestorConfig{})

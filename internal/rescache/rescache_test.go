@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"powerchop/internal/arch"
 	"powerchop/internal/core"
+	"powerchop/internal/obs/tsdb"
 	"powerchop/internal/sim"
 	"powerchop/internal/workload"
 )
@@ -254,5 +256,79 @@ func TestTallyCountsOwnLookups(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 3 || st.Misses != 2 {
 		t.Errorf("global stats = %+v, want 3 hits, 2 misses", st)
+	}
+}
+
+// telemetryResult is testResult with a telemetry store attached, so the
+// Result carries per-window rows.
+func telemetryResult(t testing.TB) *sim.Result {
+	t.Helper()
+	bench, err := workload.ByName("bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(bench.MustBuild(), sim.Config{
+		Design:          arch.Server(),
+		Manager:         core.MustPowerChop(core.DefaultConfig()),
+		MaxTranslations: 2000,
+		Telemetry:       tsdb.NewStore(tsdb.DefaultConfig()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Telemetry) == 0 {
+		t.Fatal("telemetry run kept no rows")
+	}
+	return res
+}
+
+// TestTelemetryRowsInEnvelope pins how per-window rows ride in an entry:
+// they round-trip exactly inside the checksummed payload, a Result
+// without them encodes no Telemetry field at all (so entries written
+// before rows existed stay valid), and a byte flipped inside the stored
+// rows reads as a corrupt miss.
+func TestTelemetryRowsInEnvelope(t *testing.T) {
+	c := New(t.TempDir(), nil)
+	plain, err := json.Marshal(testResult(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(plain, []byte(`"Telemetry"`)) {
+		t.Error("a Result without telemetry encodes a Telemetry field")
+	}
+
+	key := testKey()
+	key.Config += " telemetry=rows"
+	res := telemetryResult(t)
+	if err := c.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.Get(key)
+	if !ok {
+		t.Fatal("telemetry entry missed")
+	}
+	if !reflect.DeepEqual(got.Telemetry, res.Telemetry) {
+		t.Fatal("telemetry rows did not survive the round trip")
+	}
+
+	path := c.path(key.Digest())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := []byte(`"Series":"` + tsdb.SeriesInsns + `"`)
+	i := bytes.Index(data, series)
+	if i < 0 {
+		t.Fatalf("entry holds no %s row sample", tsdb.SeriesInsns)
+	}
+	data[i+len(series)-2] ^= 1 // still valid JSON, wrong series name
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("entry with tampered rows served")
+	}
+	if st := c.Stats(); st.Corrupt != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupt miss after 1 hit", st)
 	}
 }

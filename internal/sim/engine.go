@@ -44,10 +44,11 @@ type engine struct {
 
 	// Observability: tracer is the stamped event sink (nil when off);
 	// collector feeds Result.Metrics; auditor feeds Result.Audit;
-	// lastXl8 detects fresh translations.
+	// ingestor feeds Result.Telemetry; lastXl8 detects fresh translations.
 	tracer    obs.Tracer
 	collector *obs.Collector
 	auditor   *audit.Auditor
+	ingestor  *tsdb.Ingestor
 	lastXl8   uint64
 
 	cycles     float64
@@ -188,9 +189,11 @@ func (s *engine) wireObservability() {
 		sinks = append(sinks, s.auditor)
 	}
 	if s.cfg.Telemetry != nil {
-		sinks = append(sinks, tsdb.NewIngestor(s.cfg.Telemetry, tsdb.IngestorConfig{
-			Units: []string{arch.UnitBPU, arch.UnitMLC, arch.UnitVPU},
-		}))
+		s.ingestor = tsdb.NewIngestor(s.cfg.Telemetry, tsdb.IngestorConfig{
+			Units:    []string{arch.UnitBPU, arch.UnitMLC, arch.UnitVPU},
+			KeepRows: true,
+		})
+		sinks = append(sinks, s.ingestor)
 	}
 	t := obs.Multi(sinks...)
 	if t == nil {
@@ -547,6 +550,9 @@ func (s *engine) finish() *Result {
 	}
 	if s.auditor != nil {
 		r.Audit = s.auditor.Snapshot()
+	}
+	if s.ingestor != nil {
+		r.Telemetry = s.ingestor.Rows()
 	}
 	return r
 }

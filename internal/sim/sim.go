@@ -81,7 +81,8 @@ type Config struct {
 	// counts, IPC, stall cycles, gating activity, per-unit power
 	// fractions, PVT hit rate, criticality scores — into the given
 	// time-series store via a tsdb.Ingestor attached alongside the other
-	// sinks. A pure observer like Tracer/Metrics/Audit: results are
+	// sinks, and keeps a copy of the rows in Result.Telemetry. A pure
+	// observer like Tracer/Metrics/Audit: every other Result field is
 	// bit-identical with or without it.
 	Telemetry *tsdb.Store
 	// Progress, when non-nil, is called at every window boundary and once
@@ -222,6 +223,21 @@ type Result struct {
 	// Audit is the decision-provenance trail, present when Config.Audit
 	// was set.
 	Audit *audit.Trail
+
+	// Telemetry is every per-window row the run committed to
+	// Config.Telemetry, in commit order, present when Config.Telemetry
+	// was set. ReplayTelemetry rebuilds the store's contents from it.
+	Telemetry [][]tsdb.Sample `json:",omitempty"`
+}
+
+// ReplayTelemetry appends the run's telemetry rows to ts exactly as the
+// live run committed them — one Store.AppendBatch per row, in order — so
+// ts ends up as if the run had simulated with ts attached. This is how
+// a cached result refills a store without simulating.
+func (r *Result) ReplayTelemetry(ts *tsdb.Store) {
+	for _, row := range r.Telemetry {
+		ts.AppendBatch(row)
+	}
 }
 
 // MispredictRate returns mispredicts per branch.

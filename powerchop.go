@@ -127,7 +127,9 @@ type Options struct {
 	// rate, criticality scores) into the given time-series store; query
 	// it live over /api/query on a monitor or afterwards in process. A
 	// pure observer like Tracer: results are bit-identical with or
-	// without it.
+	// without it. It keeps the result cache on: the cached entry carries
+	// the run's per-window rows, and a hit replays them into the store,
+	// which then holds exactly what the live run would have written.
 	Telemetry *tsdb.Store
 	// Progress, when non-nil, is called at every window boundary and once
 	// on completion. The callback is a pure observer: results are
@@ -150,13 +152,15 @@ type Options struct {
 	// Cache, when non-nil, is a persistent content-addressed result
 	// store (internal/rescache): Run consults it before simulating and
 	// files the result afterwards, so repeated identical runs are
-	// near-instant and byte-identical. Runs that record the whole run
-	// (TraceWriter, Metrics, Audit or Telemetry) bypass the cache, and
-	// the bypass is counted — a cached result cannot replay the stream
-	// they record. A Tracer does not bypass: a miss simulates live,
-	// streaming its events, and is then filed; a hit emits no events.
-	// Progress works either way: on a hit the callback receives only the
-	// final done report.
+	// near-instant and byte-identical. Runs that record the whole event
+	// stream (TraceWriter, Metrics or Audit) bypass the cache, and the
+	// bypass is counted — a cached result cannot replay the stream they
+	// record. A Tracer does not bypass: a miss simulates live, streaming
+	// its events, and is then filed; a hit emits no events. Telemetry
+	// does not bypass either: its runs key apart from plain runs, and a
+	// hit replays the stored per-window rows into the store. Progress
+	// works either way: on a hit the callback receives only the final
+	// done report.
 	Cache *rescache.Cache
 	// CacheDir, when non-empty and Cache is nil, opens a cache rooted at
 	// that directory (created on first store) with a private metrics
@@ -643,16 +647,18 @@ func prepareRun(ctx context.Context, p *program.Program, b workload.Benchmark, o
 	}
 
 	// Persistent result cache: consult before simulating, fill after.
-	// Full per-run recording bypasses (a cached result cannot replay the
-	// event trace or rebuild metrics, audit trails or telemetry series);
-	// the skip is counted so /metrics shows it happening. A live Tracer
-	// keeps the cache: it sees the events of the runs that simulate.
+	// Full event recording bypasses (a cached result cannot replay the
+	// event trace or rebuild metrics or audit trails); the skip is
+	// counted so /metrics shows it happening. A live Tracer keeps the
+	// cache: it sees the events of the runs that simulate. Telemetry
+	// keeps it too: the Result carries the per-window rows a hit
+	// replays.
 	resCache := opts.Cache
 	if resCache == nil && opts.CacheDir != "" {
 		resCache = rescache.New(opts.CacheDir, nil)
 	}
 	if resCache != nil {
-		if opts.TraceWriter != nil || opts.Metrics || opts.Audit || opts.Telemetry != nil {
+		if opts.TraceWriter != nil || opts.Metrics || opts.Audit {
 			resCache.CountBypass()
 		} else {
 			lane.resCache = resCache
@@ -683,9 +689,9 @@ func prepareRun(ctx context.Context, p *program.Program, b workload.Benchmark, o
 	return lane, nil
 }
 
-// cached consults the lane's persistent cache; on a hit it delivers the
-// done progress report (and no simulation events) and returns the
-// finished Report.
+// cached consults the lane's persistent cache; on a hit it replays any
+// telemetry rows into the lane's store, delivers the done progress
+// report (and no simulation events) and returns the finished Report.
 func (l *laneRun) cached() (*Report, bool) {
 	if l.resCache == nil {
 		return nil, false
@@ -693,6 +699,9 @@ func (l *laneRun) cached() (*Report, bool) {
 	res, ok := l.resCache.GetContext(l.cfg.Context, l.cacheKey)
 	if !ok {
 		return nil, false
+	}
+	if l.cfg.Telemetry != nil {
+		res.ReplayTelemetry(l.cfg.Telemetry)
 	}
 	if l.progress != nil {
 		l.progress(RunProgress{
@@ -829,14 +838,19 @@ func runProgramBatch(ctx context.Context, p *program.Program, b workload.Benchma
 // manager field is the policy fingerprint — the registered policy name
 // plus the canonical rendering of its fully resolved parameters — so
 // every input that shapes the manager is in the key, and two processes
-// sweeping the same parameter grid share entries exactly.
+// sweeping the same parameter grid share entries exactly. A telemetry
+// run adds a telemetry=rows marker: its entry carries the per-window
+// rows, so it must neither serve nor be served by a plain run's.
 func cacheKeyFor(p *program.Program, design arch.Design, fingerprint string, opts Options, maxTranslations uint64) rescache.Key {
+	config := fmt.Sprintf("translations=%d sample=%d", maxTranslations, opts.SampleInterval)
+	if opts.Telemetry != nil {
+		config += " telemetry=rows"
+	}
 	return rescache.Key{
 		Program: p.Digest(),
 		Design:  rescache.Fingerprint(design),
 		Manager: fingerprint,
-		Config: fmt.Sprintf("translations=%d sample=%d",
-			maxTranslations, opts.SampleInterval),
+		Config:  config,
 	}
 }
 
